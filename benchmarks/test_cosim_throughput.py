@@ -1,4 +1,4 @@
-"""Co-simulation throughput: interpreter vs lockstep, and fleet soak rate.
+"""Co-simulation throughput: interpreter vs lockstep, and daemon soak rate.
 
 Two numbers justify the fast interpreter's existence and size the nightly
 soak budget:
@@ -7,8 +7,8 @@ soak budget:
   the full lockstep pair (interpreter + authoritative ITL trace replay),
   with the per-opcode trace cache warm — the interpreter must be the
   cheap side by a wide margin, or "fast oracle cross-check" is a fiction;
-* end-to-end generated-case throughput of a 2-shard fleet running the
-  daemon's bulk co-sim path, which is what converts a wall-clock budget
+* end-to-end generated-case throughput of one daemon with two runners on
+  its bulk co-sim path, which is what converts a wall-clock budget
   ("~2 minutes of CI") into a case count for the soak gate.
 
 Both land in ``BENCH_cosim.json`` at the repo root.
@@ -103,35 +103,28 @@ def test_interp_vs_lockstep_rate(bench_cosim_record):
     bench_cosim_record("interp_vs_lockstep", seed=BENCH_SEED, **record)
 
 
-FLEET_SHARDS = 2
-FLEET_JOBS = 4  # per arch
-FLEET_CASES_PER_JOB = 40
+SOAK_RUNNERS = 2
+SOAK_JOBS = 4  # per arch
+SOAK_CASES_PER_JOB = 40
 
 
-def test_fleet_soak_throughput(bench_cosim_record):
-    """End-to-end generated-case rate of a 2-shard fleet on the bulk path."""
-    from repro.service.fleet import FleetRouter
+def test_daemon_soak_throughput(bench_cosim_record):
+    """End-to-end generated-case rate of one daemon on the bulk path."""
     from repro.service.protocol import SubmitRequest
-    from repro.service.supervisor import LocalShard, ShardSupervisor
+    from repro.service.server import VerificationService
 
-    supervisor = ShardSupervisor(
-        lambda _slot, sid, _gen, spec: LocalShard(
-            sid, pool_jobs=1, block_jobs=1, runners=1, budget_spec=spec
-        ),
-        shards=FLEET_SHARDS,
-    )
-    router = FleetRouter(supervisor, poll_s=0.02)
-    router.start()
+    service = VerificationService(pool_jobs=1, runners=SOAK_RUNNERS)
+    service.start()
     try:
         t0 = time.perf_counter()
         jobs = [
-            router.submit(SubmitRequest(
+            service.submit(SubmitRequest(
                 case=f"cosim:{arch_name}",
-                kwargs={"seed": BENCH_SEED + i, "count": FLEET_CASES_PER_JOB},
+                kwargs={"seed": BENCH_SEED + i, "count": SOAK_CASES_PER_JOB},
                 priority="bulk",
             ))
             for arch_name in sorted(COSIM_ARCHS)
-            for i in range(FLEET_JOBS)
+            for i in range(SOAK_JOBS)
         ]
         deadline = time.monotonic() + 600
         for job in jobs:
@@ -144,18 +137,18 @@ def test_fleet_soak_throughput(bench_cosim_record):
         instructions = sum(job.result["instructions"] for job in jobs)
         divergences = sum(len(job.result["divergences"]) for job in jobs)
     finally:
-        router.stop()
+        service.stop()
 
     assert divergences == 0
-    assert cases == len(jobs) * FLEET_CASES_PER_JOB
+    assert cases == len(jobs) * SOAK_CASES_PER_JOB
     bench_cosim_record(
-        "fleet_soak_throughput",
-        shards=FLEET_SHARDS,
+        "daemon_soak_throughput",
+        runners=SOAK_RUNNERS,
         jobs=len(jobs),
         cases=cases,
         instructions=instructions,
         wall_s=round(wall_s, 3),
         cases_per_s=round(cases / wall_s, 1),
         instrs_per_s=round(instructions / wall_s, 1),
-        caveat="in-process shards; trace caches warm up during the run",
+        caveat="trace caches warm up during the run",
     )

@@ -103,74 +103,58 @@ def test_service_cold_vs_warm(bench_service_record, tmp_path):
     assert warm_s <= cold_s * 1.5
 
 
-#: Every cheap-to-moderate case study once: eight distinct jobs, so an
-#: N-shard fleet has real placement work to do (single-flight dedup makes
-#: duplicate submissions useless for a throughput curve).
-FLEET_CASES = [
+#: Every cheap-to-moderate case study once: eight distinct jobs (single-
+#: flight dedup makes duplicate submissions useless for a throughput curve).
+SCALEOUT_CASES = [
     "rbit", "uart", "hvc", "unaligned",
     "memcpy_arm", "memcpy_riscv", "binsearch_arm", "binsearch_riscv",
 ]
 
 
-def _fleet_round(shards: int) -> tuple[float, int]:
-    """Run the full workload through an N-shard fleet; returns
-    (wall_s, completions)."""
-    from repro.service.fleet import FleetRouter
-    from repro.service.protocol import SubmitRequest
-    from repro.service.supervisor import LocalShard, ShardSupervisor
-
-    supervisor = ShardSupervisor(
-        lambda _slot, sid, _gen, spec: LocalShard(
-            sid, pool_jobs=1, block_jobs=1, runners=1, budget_spec=spec
-        ),
-        shards=shards,
-    )
-    router = FleetRouter(supervisor, poll_s=0.02)
-    router.start()
+def _runners_round(runners: int) -> float:
+    """Run the eight jobs through one daemon with ``runners`` runner
+    threads over a two-process pool; returns the wall seconds from first
+    submission to last completion."""
+    service = VerificationService(pool_jobs=2, block_jobs=1, runners=runners)
+    thread, (host, port) = _launch(service)
+    client = ServiceClient(host=host, port=port, timeout=600)
     try:
         t0 = time.perf_counter()
-        jobs = [
-            router.submit(SubmitRequest(case=name)) for name in FLEET_CASES
+        jobs = [client.submit(name) for name in SCALEOUT_CASES]
+        finals = [
+            client.wait(job["id"], timeout=600, poll_s=0.02) for job in jobs
         ]
-        deadline = time.monotonic() + 600
-        for job in jobs:
-            while not job.terminal:
-                assert time.monotonic() < deadline, f"{job.id} never finished"
-                time.sleep(0.02)
         wall_s = time.perf_counter() - t0
-        assert all(job.state == "done" for job in jobs)
-        completed = int(router.telemetry.counter("fleet_jobs_completed"))
     finally:
-        router.stop()
-    return wall_s, completed
+        try:
+            client.shutdown()
+        except (ServiceError, OSError):
+            pass
+        thread.join(timeout=60)
+    assert all(final["state"] == "done" for final in finals)
+    return wall_s
 
 
-def test_fleet_scaleout(bench_service_record):
-    """The 1→N-shard scale-out curve (ISSUE 6 satellite).
+def test_runner_scaleout(bench_service_record):
+    """The 1→2-runner curve of one daemon on the same two worker processes.
 
-    LocalShards share the process-global check store, so later rounds run
-    warmer than earlier ones — the curve flatters high shard counts a
-    little; the recorded numbers say so rather than pretending otherwise.
+    Both daemons run in this process and share the process-global check
+    cache, so the second round runs a little warmer than the first; the
+    record says so rather than pretending otherwise.
     """
-    walls: dict[int, float] = {}
-    for shards in (1, 2, 4):
-        wall_s, completed = _fleet_round(shards)
-        assert completed == len(FLEET_CASES)
-        walls[shards] = wall_s
-
+    walls = {runners: _runners_round(runners) for runners in (1, 2)}
     bench_service_record(
-        "fleet_scaleout",
-        cases=FLEET_CASES,
-        jobs=len(FLEET_CASES),
-        runners_per_shard=1,
+        "runner_scaleout",
+        cases=SCALEOUT_CASES,
+        jobs=len(SCALEOUT_CASES),
+        pool_jobs=2,
         wall_s={str(n): round(w, 3) for n, w in walls.items()},
         speedup_vs_1={
             str(n): round(walls[1] / w, 2) if w > 0 else None
             for n, w in walls.items()
         },
-        caveat="in-process shards share warm caches across rounds",
+        caveat="in-process daemons share warm caches across rounds",
     )
-    # Weak monotonicity only: warm-cache bleed-through and placement skew
-    # make strict speedup asserts flaky — but more shards must never make
-    # the same workload dramatically slower.
-    assert walls[4] <= walls[1] * 1.5
+    # Weak monotonicity only: a second runner must never make the same
+    # workload dramatically slower.
+    assert walls[2] <= walls[1] * 1.5

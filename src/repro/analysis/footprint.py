@@ -37,7 +37,6 @@ __all__ = [
     "footprint_of_trace",
     "interference_groups",
     "may_interfere",
-    "shard_token",
     "trace_read_regs",
 ]
 
@@ -300,39 +299,6 @@ def may_interfere(
     if b_writes & ((a.reg_reads | a.reg_writes) - ignore):
         return True
     return _mem_conflict(a, b) or _mem_conflict(b, a)
-
-
-def shard_token(
-    footprints: list[Footprint], ignore: frozenset[Reg] = frozenset()
-) -> str:
-    """A stable, canonical digest of the footprint-interference structure.
-
-    The fleet router consistent-hashes jobs by this token so workloads
-    with the same opcode footprint-groups land on the same shard and keep
-    its trace/SMT caches hot and disjoint from the other shards'.  The
-    token must therefore be a pure function of the footprints themselves:
-    each interference group is rendered as the sorted union of its
-    register names plus its memory-region strings (and unknown-access
-    markers), groups are sorted, and the whole rendering is hashed.
-    Neither dict ordering, nor block addresses, nor the order footprints
-    were supplied in can change it.
-    """
-    import hashlib
-
-    groups = interference_groups(list(footprints), ignore)
-    parts: list[str] = []
-    for group in groups:
-        union = Footprint()
-        for index in group:
-            union = union.union(footprints[index])
-        regs = ",".join(sorted(str(r) for r in union.regs - ignore))
-        mems = ",".join(
-            sorted(str(m) for m in union.mem_reads + union.mem_writes)
-        )
-        unknown = f"?r{union.unknown_reads}w{union.unknown_writes}"
-        parts.append("{" + regs + "|" + mems + "|" + unknown + "}")
-    body = "|".join(sorted(parts))
-    return "fp:" + hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
 def interference_groups(

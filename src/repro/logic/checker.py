@@ -2,13 +2,21 @@
 
 The paper's verification results are foundational because Coq's kernel
 re-checks the proof term produced by the automation (the "Qed" column of
-Fig. 12).  This module plays that role for our proof objects: given a
-:class:`~repro.logic.proof.Proof`, it independently re-validates every
-recorded side condition — each a ``assumptions ⊨ goal`` judgment — using a
-fresh solver with the result cache disabled, and audits the structural
-well-formedness of the rule sequence (every rule tag is known, every block
-in the program was verified from its specification, branch paths form a
-prefix-closed tree).
+Fig. 12).  This module is our stand-in, and today it is a weaker one.
+Given a :class:`~repro.logic.proof.Proof`, it checks:
+
+- every rule tag is a known rule;
+- every side condition the proof *lists* — each an ``assumptions ⊨ goal``
+  judgment — holds, re-solved with a fresh solver whose result cache is
+  disabled;
+- the block bookkeeping: every block with a specification was verified or
+  carries a recorded non-verified outcome, every started block completed,
+  and the outcome map agrees with the blocks the proof claims.
+
+It does not re-walk the traces.  A :class:`~repro.logic.proof.ProofStep`
+is not tied to an ITL event or a spec clause, the branch paths of the
+steps are not audited, and side conditions the proof omits are not
+derived, so a proof with steps dropped or paths scrambled still passes.
 
 Governed (degraded) proofs carry *residual obligations* — side conditions
 the automation could not decide.  The checker re-attempts each residual:

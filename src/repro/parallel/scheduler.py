@@ -35,6 +35,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import multiprocessing
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
@@ -197,6 +198,22 @@ class TaskFailure:
 WORKER_DIED = "worker process died"
 
 
+def _init_worker() -> None:
+    """Give a pool worker its own signal handling, whatever its parent's.
+
+    A forked worker inherits its parent's handlers and, under an asyncio
+    loop, the loop's signal wakeup fd: a signal the worker receives is
+    written into the daemon's loop, which takes it for its own.  The
+    executor ends the surviving workers of a broken pool with SIGTERM,
+    so one killed worker used to shut the whole daemon down.  And the
+    executor then waits for those workers; one that ignores SIGTERM (the
+    daemon's handler does nothing, the CLI's only sets a flag) would keep
+    its parent from ever exiting.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class WorkerPool:
     """A lazy ``ProcessPoolExecutor`` with a serial in-process fallback.
 
@@ -205,28 +222,67 @@ class WorkerPool:
     failure flips the pool into in-process mode and the batch is computed
     serially — task-level exceptions (a genuine ``IslaError``, say) still
     propagate to the caller.
+
+    Workers are forked, and a fork copies only the calling thread: a lock
+    another thread holds at that moment (an import lock, say) stays held
+    in the worker for good, and the worker hangs on it.  A pool forks its
+    first workers where it is first used, so a daemon calls :meth:`start`
+    before it starts threads of its own.  A pool rebuilt after a worker
+    died, when threads may be running, starts its workers from a
+    forkserver, a single-threaded process of its own.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = max(1, jobs)
         self._executor = None
         self.unavailable = jobs <= 1
+        self._rebuilt = False
 
     def _ensure(self):
+        if getattr(self._executor, "_broken", False):
+            # A worker died while the pool sat idle; a broken executor
+            # refuses every submission, so replace it before the batch.
+            self._discard()
         if self._executor is None and not self.unavailable:
             try:
                 methods = multiprocessing.get_all_start_methods()
+                method = "forkserver" if self._rebuilt else "fork"
                 ctx = (
-                    multiprocessing.get_context("fork")
-                    if "fork" in methods
+                    multiprocessing.get_context(method)
+                    if method in methods
                     else multiprocessing.get_context()
                 )
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=ctx
+                    max_workers=self.jobs, mp_context=ctx,
+                    initializer=_init_worker,
                 )
             except Exception:
                 self.unavailable = True
         return self._executor
+
+    def _discard(self) -> None:
+        """Drop a broken executor; the next batch rebuilds the pool."""
+        try:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+        self._executor = None
+        self._rebuilt = True
+
+    def start(self) -> None:
+        """Fork the workers now, from the calling thread.
+
+        A fork-context executor forks its whole pool at its first
+        submission, so one trivial task starts every worker.
+        """
+        executor = self._ensure()
+        if executor is None:
+            return
+        try:
+            executor.submit(int).result()
+        except (BrokenProcessPool, OSError):
+            self.unavailable = True
+            self._executor = None
 
     def map_tasks(self, fn, payloads: list) -> list:
         """Apply ``fn`` to every payload; results in payload order."""
@@ -341,11 +397,7 @@ class WorkerPool:
             # Replace the poisoned executor; the next batch gets a fresh
             # one (``unavailable`` stays False — one dead worker must not
             # demote a long-lived pool to serial forever).
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self._executor = None
+            self._discard()
         return results
 
     def close(self) -> None:

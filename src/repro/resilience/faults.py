@@ -22,26 +22,12 @@ is SAT/UNSAT weakens what callers may conclude, a cache drop forces a
 recomputation of the same answer, and transients either retry to the same
 result or surface as ``unknown``.
 
-The **service-layer** sites extend the same machinery to the verification
-fleet (:mod:`repro.service.fleet`):
-
-- ``service.conn``      — drop or half-close a client connection
-  (consulted inside :class:`~repro.service.client.ServiceClient`, so every
-  retry/failover path is reachable deterministically);
-- ``service.shard``     — kill a backend shard abruptly mid-job;
-- ``service.heartbeat`` — delay a supervisor heartbeat so it counts as a
-  miss;
-- ``service.journal``   — corrupt the tail record of the job journal
-  (exercising truncate-on-open recovery).
-
-Pipeline sites keep their strict schedule-determinism guarantee (pure
-function of ``(seed, site, counter)``).  Service sites are decided by the
-same arithmetic, but their per-site counters advance on wall-clock-driven
-events (heartbeats, connection attempts), so two runs of the same seed
-share the fault *distribution* rather than an identical schedule; the
-chaos harness therefore asserts invariants (every job terminates,
-certificates byte-identical to serial, no double execution), never exact
-event orders.
+One **service-layer** site extends the same machinery to the daemon's
+client: ``service.conn`` drops or half-closes a connection (consulted
+inside :class:`~repro.service.client.ServiceClient`, so every retry path
+is reachable deterministically).  Its decisions use the same arithmetic,
+but its counter advances once per connection attempt, so a seed fixes the
+schedule only for a client whose attempts do not depend on timing.
 """
 
 from __future__ import annotations
@@ -63,17 +49,9 @@ SITE_KINDS: dict[str, tuple[str, ...]] = {
     "sat.solve": ("unknown",),
     "bitblast": ("transient",),
     "executor.fork": ("unknown", "transient"),
-    # Service layer (the fleet chaos harness).
+    # Service layer (the daemon client).
     "service.conn": ("drop", "halfclose"),
-    "service.shard": ("kill",),
-    "service.heartbeat": ("delay",),
-    "service.journal": ("truncate", "garbage"),
 }
-
-#: The service-layer subset: chaos harnesses restrict their injectors to
-#: these so the *pipeline* stays fault-free and certificates stay
-#: byte-identical to a serial run.
-SERVICE_SITES = tuple(s for s in SITE_KINDS if s.startswith("service."))
 
 SITES = tuple(SITE_KINDS)
 

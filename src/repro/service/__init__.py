@@ -23,41 +23,26 @@ resident and serves verification over a local socket:
   per-block event streams, reports, metrics, graceful drain);
 - :mod:`~repro.service.client` — a thin stdlib-only client library used
   by ``tools/submit``, with socket timeouts, jittered-backoff retries,
-  per-request deadlines, and hedged shard failover;
-- :mod:`~repro.service.supervisor` — shard lifecycle: spawn N backend
-  daemons (threads or subprocesses), heartbeat them, restart the dead
-  with exponential backoff, and reabsorb their budget shares;
-- :mod:`~repro.service.breaker` — per-shard circuit breakers
-  (closed/open/half-open) between the router and flapping shards;
-- :mod:`~repro.service.journal` — the crash-safe job journal: an
-  append-only fsync'd WAL with CRC'd records, truncate-on-open tail
-  recovery, and content-hash completion dedup;
-- :mod:`~repro.service.fleet` — the fleet router: consistent-hash job
-  placement by footprint-group token, failover, journal-backed replay,
-  and a fleet-wide HTTP front end speaking the single-daemon API;
-- :mod:`~repro.service.chaos` — the seeded service-layer chaos harness
-  (shard kills, dropped connections, delayed heartbeats, torn journal
-  tails) asserting the fleet's termination/byte-identity/no-double-run
-  contract.
+  and per-request deadlines.
+
+One daemon is the only service tier.  A daemon crash loses its queued
+and running jobs; nothing replays them.  A client submits them again once
+the daemon is back (``tools/submit --retries`` rides out the restart),
+and the content-addressed disk cache makes the re-run warm.
 
 The service guarantee: results are byte-identical to ``tools/verify`` —
 same certificates, same outcome lattice, same fail-safe degradation when
-budgets exhaust.  The daemon — and the fleet above it — only changes
-*when and where* work happens (batched, deduplicated, sharded, retried,
-against warm state), never *what* is computed.
+budgets exhaust.  The daemon only changes *when* work happens (batched,
+deduplicated, against warm state), never *what* is computed.
 """
 
 from .batcher import TraceBatcher
-from .breaker import CircuitBreaker
 from .client import (
-    FailoverClient,
     ServiceClient,
     ServiceError,
     ServiceTimeout,
     ServiceUnavailable,
 )
-from .fleet import FleetJob, FleetRouter, HashRing, job_content_hash
-from .journal import JobJournal
 from .protocol import (
     CANCELLED,
     DONE,
@@ -72,20 +57,11 @@ from .protocol import (
 )
 from .queue import AdmissionError, JobQueue
 from .server import VerificationService
-from .supervisor import (
-    LocalShard,
-    ProcessShard,
-    ShardHandle,
-    ShardSupervisor,
-)
 from .telemetry import Telemetry
 
 __all__ = [
-    "AdmissionError", "CANCELLED", "CircuitBreaker", "DONE", "FAILED_STATE",
-    "FailoverClient", "FleetJob", "FleetRouter", "HashRing", "JOB_STATES",
-    "JobEvent", "JobJournal", "JobQueue", "JobRecord", "LocalShard",
-    "PRIORITIES", "ProcessShard", "QUEUED", "RUNNING", "ServiceClient",
-    "ServiceError", "ServiceTimeout", "ServiceUnavailable", "ShardHandle",
-    "ShardSupervisor", "SubmitRequest", "Telemetry", "TraceBatcher",
-    "VerificationService", "job_content_hash",
+    "AdmissionError", "CANCELLED", "DONE", "FAILED_STATE", "JOB_STATES",
+    "JobEvent", "JobQueue", "JobRecord", "PRIORITIES", "QUEUED", "RUNNING",
+    "ServiceClient", "ServiceError", "ServiceTimeout", "ServiceUnavailable",
+    "SubmitRequest", "Telemetry", "TraceBatcher", "VerificationService",
 ]

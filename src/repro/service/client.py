@@ -1,4 +1,4 @@
-"""Thin client for the verification daemon and fleet.
+"""Thin client for the verification daemon.
 
 Speaks the daemon's JSON-over-HTTP protocol over local TCP or a Unix
 domain socket using only the standard library.  Every method maps to one
@@ -21,15 +21,10 @@ Failure handling is typed and bounded:
 - **deadlines** — a per-request ``deadline_s`` bounds the whole attempt
   loop (backoff sleeps included) against one wall clock.
 
-:class:`FailoverClient` layers hedged failover on top: given several
-shard clients and a health predicate (the fleet router wires in its
-circuit breakers), a request that cannot be served by one shard moves to
-the next healthy one instead of failing.
-
 The ``service.conn`` fault-injection site lives here: with an active
 :class:`~repro.resilience.faults.FaultInjector` the client can be made to
-drop or half-close connections deterministically, which is how the chaos
-harness exercises every retry/failover path.
+drop or half-close connections deterministically, which is how the tests
+reach every retry path without a real network fault.
 """
 
 from __future__ import annotations
@@ -296,9 +291,6 @@ class ServiceClient:
     def metrics_text(self) -> str:
         return self._request("GET", "/metrics")[1]
 
-    def fleet(self) -> dict:
-        return self._request("GET", "/fleet")[1]
-
     def shutdown(self, mode: str = "drain") -> dict:
         return self._request("POST", "/shutdown", {"mode": mode})[1]
 
@@ -351,41 +343,3 @@ class ServiceClient:
             )
         return self.report(job["id"])
 
-
-class FailoverClient:
-    """Hedged failover over several shard clients.
-
-    ``clients`` maps shard id -> :class:`ServiceClient`; ``health`` is an
-    optional predicate (shard id -> bool) consulted *before* each attempt,
-    so shards the router reports open-circuited are skipped outright
-    instead of timed out against.  Candidates are tried in the given
-    preference order (for the fleet router: ring order from the job's
-    hash point); the first success wins and its shard id is returned.
-    """
-
-    def __init__(self, clients: dict[str, ServiceClient], health=None) -> None:
-        if not clients:
-            raise ValueError("FailoverClient needs at least one client")
-        self.clients = dict(clients)
-        self.health = health
-
-    def candidates(self, preference=None) -> list[str]:
-        order = [s for s in (preference or self.clients) if s in self.clients]
-        if self.health is None:
-            return order
-        healthy = [s for s in order if self.health(s)]
-        # Every shard unhealthy: fall back to trying them all anyway —
-        # refusing outright would turn a transient blip into a lost job.
-        return healthy or order
-
-    def submit(self, case: str, preference=None, **kwargs):
-        """Submit to the first healthy shard; returns ``(shard_id, job)``."""
-        last_error: Exception | None = None
-        for shard_id in self.candidates(preference):
-            try:
-                return shard_id, self.clients[shard_id].submit(case, **kwargs)
-            except (ServiceTimeout, ServiceUnavailable) as exc:
-                last_error = exc
-        raise last_error if last_error is not None else ServiceUnavailable(
-            "no shard accepted the submission"
-        )

@@ -213,15 +213,11 @@ class JobRecord:
             }
 
 
-def encode_result(case, report, checker_line: str, shard_key: str | None = None) -> dict:
+def encode_result(case, report, checker_line: str) -> dict:
     """The JSON result payload for a finished governed run.
 
     ``certificate`` is the proof's canonical JSON text, unmodified — the
     byte-identity anchor against ``tools/verify --cert-dir``.
-    ``shard_key`` (when the daemon computed one) is the stable
-    footprint-group token from :func:`repro.analysis.footprint.shard_token`
-    that the fleet router uses for cache-affine consistent hashing; it is
-    informational and never part of the certificate.
     """
     blocks = {
         f"0x{addr:x}": {
@@ -233,7 +229,6 @@ def encode_result(case, report, checker_line: str, shard_key: str | None = None)
     }
     budget = report.budget.snapshot() if report.budget is not None else None
     return {
-        "shard_key": shard_key,
         "outcome": report.outcome,
         "ok": report.ok,
         "blocks": blocks,

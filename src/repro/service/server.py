@@ -56,7 +56,6 @@ class VerificationService:
         service_spec=None,
         batch_window_s: float = 0.01,
         telemetry: Telemetry | None = None,
-        shard_id: str | None = None,
     ) -> None:
         from ..cache import DiskCache
         from ..parallel.scheduler import WorkerPool
@@ -64,9 +63,6 @@ class VerificationService:
         from .runner import JobRunner
 
         self.telemetry = telemetry or Telemetry()
-        #: Optional fleet identity: reported on /healthz so a supervisor's
-        #: heartbeat can confirm it reached the shard it meant to.
-        self.shard_id = shard_id
         self.cache = DiskCache(cache_dir) if cache_dir else None
         self.pool = WorkerPool(pool_jobs)
         self.batcher = TraceBatcher(
@@ -97,6 +93,8 @@ class VerificationService:
             return
         from ..smt.solver import install_persistent_check_store
 
+        # Workers fork before any runner thread exists (see WorkerPool).
+        self.pool.start()
         self._previous_store = install_persistent_check_store(self.cache)
         for runner in self._runners:
             runner.start()
@@ -213,37 +211,21 @@ class VerificationService:
             await self._shutdown_event.wait()
             server.close()
             await server.wait_closed()
-        if self._shutdown_mode == "crash":
-            # Simulated crash (chaos harness, in-process shards): the
-            # listener is gone and runner threads are told to stop, but
-            # nothing drains, flushes, or reports — queued and in-flight
-            # jobs are simply lost, exactly as a SIGKILL would lose them.
-            # In-flight connections are about to be cancelled mid-read by
-            # the loop teardown; that is the point, so keep it quiet.
-            asyncio.get_running_loop().set_exception_handler(
-                lambda _loop, _ctx: None
-            )
-            for runner in self._runners:
-                runner.stop()
-            self.telemetry.log("service-crashed")
-            return
         await asyncio.to_thread(self.stop, self._shutdown_mode == "abort")
 
     def request_stop(self, mode: str = "drain") -> None:
         """Trigger the serve() loop to exit (thread/signal-handler safe).
 
-        ``mode`` is ``"drain"`` (finish everything), ``"abort"`` (finish
-        current blocks only), or ``"crash"`` (abandon everything on the
-        floor — the chaos harness's stand-in for SIGKILL when the shard
-        shares the test process).
+        ``mode`` is ``"drain"`` (finish everything) or ``"abort"`` (finish
+        current blocks only).
         """
         self._shutdown_mode = mode
         if self._shutdown_event is None:
             return
         # An asyncio.Event set from a foreign thread does not wake the
         # selector; without the threadsafe hop the serve loop only notices
-        # on its next unrelated I/O — which never comes once heartbeats
-        # stop.  Fall back to a direct set when called from the loop itself
+        # on its next unrelated I/O, which may never come on an idle
+        # daemon.  Fall back to a direct set when called from the loop itself
         # (the /shutdown route) or after the loop is gone.
         loop = self._loop
         if loop is not None and not loop.is_closed():
@@ -340,8 +322,7 @@ class VerificationService:
                     writer, 200,
                     {"ok": True, "uptime_s": self.telemetry.snapshot()["uptime_s"],
                      "queue_depth": self.queue.depth,
-                     "inflight": inflight,
-                     "shard": self.shard_id},
+                     "inflight": inflight},
                 )
             elif method == "POST" and parts == ["jobs"]:
                 await self._submit(writer, body)

@@ -59,20 +59,6 @@ class Telemetry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def absorb_counters(self, counters: dict, prefix: str = "") -> None:
-        """Fold another telemetry snapshot's counters into this one.
-
-        The fleet router uses this to aggregate shard-reported counters
-        (prefixed so ``jobs_completed`` on a shard becomes
-        ``shard_jobs_completed`` fleet-side) without ever double-counting
-        its own.
-        """
-        with self._lock:
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    name = f"{prefix}{key}"
-                    self._counters[name] = self._counters.get(name, 0) + value
-
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
             self._observe(self._latencies, seconds)

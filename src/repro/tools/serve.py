@@ -68,10 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         help="batching collection window in seconds",
     )
     parser.add_argument(
-        "--shard-id", default=None,
-        help="identity reported on /healthz when run as a fleet shard",
-    )
-    parser.add_argument(
         "--quiet", action="store_true",
         help="suppress structured JSON logs on stderr",
     )
@@ -94,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         max_queue=args.max_queue,
         service_spec=service_spec,
         batch_window_s=args.batch_window,
-        shard_id=args.shard_id,
         telemetry=Telemetry() if args.quiet else stderr_telemetry(),
     )
 

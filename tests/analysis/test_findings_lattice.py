@@ -1,7 +1,7 @@
 """Property (hypothesis): the findings lattice and worker-merge laws.
 
 Every static-analysis pass reports through :mod:`repro.analysis.findings`,
-and the sharded fleet merges per-worker findings with
+and findings gathered by several workers are merged with
 :func:`merge_findings` — so the report the user sees is only deterministic
 if (a) severity join is a real semilattice, (b) merge is order-insensitive
 and deduplicating, and (c) stable codes are actually unique.  These

@@ -13,6 +13,7 @@ a dead worker reported nothing).
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 from repro.parallel.scheduler import (
@@ -80,6 +81,24 @@ class TestPoolSurvivesWorkerDeath:
             pool.close()
         assert (0, "ok") in seen
         assert all(index != 1 for index, _ in seen)
+
+
+    def test_worker_killed_while_idle_does_not_poison_later_batches(self):
+        pool = WorkerPool(2)
+        try:
+            assert pool.map_tasks_graceful(_task, [{"value": 1}]) == [1]
+            os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._executor._broken:
+                assert time.monotonic() < deadline, "death never noticed"
+                time.sleep(0.02)
+            # The broken executor is replaced before the batch, so no task
+            # of it is lost to a death that happened between batches.
+            assert pool.map_tasks_graceful(
+                _task, [{"value": 2}, {"value": 3}]
+            ) == [2, 3]
+        finally:
+            pool.close()
 
 
 class _DeadlyPool:

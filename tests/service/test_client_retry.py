@@ -1,11 +1,11 @@
-"""Client failure handling: timeouts, typed errors, retry policy, failover.
+"""Client failure handling: timeouts, typed errors, retry policy.
 
 These tests run against throwaway socket servers, not the real daemon —
 what is under test is purely the client's behaviour at the edge: a hung
 daemon must surface as a typed :class:`ServiceTimeout` (bounded by the
 read timeout, not forever), retries must be jittered-exponential and must
-never replay a POST whose bytes may have reached the server, and the
-failover client must walk the preference order.
+never replay a POST whose bytes may have reached the server, whether the
+fault is real or injected at the ``service.conn`` site.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import time
 
 import pytest
 
+from repro.resilience.faults import FaultInjector, inject
 from repro.service.client import (
-    FailoverClient,
     ServiceClient,
     ServiceError,
     ServiceTimeout,
@@ -212,50 +212,58 @@ class TestDeadline:
             server.close()
 
 
-class TestFailover:
-    def test_submit_fails_over_in_preference_order(self):
-        dead = _Server(["reset"] * 8)
-        alive = _Server([])
-        try:
-            clients = {
-                "shard-0": _client(dead),
-                "shard-1": _client(alive),
-            }
-            failover = FailoverClient(clients)
-            shard, job = failover.submit(
-                "rbit", preference=["shard-0", "shard-1"]
-            )
-            assert shard == "shard-1"
-            assert job["id"] == "job-1"
-        finally:
-            dead.close()
-            alive.close()
+def _seed_whose_first_conn_fault_is(kind: str) -> int:
+    """A seed whose first ``service.conn`` decision at rate 1 is ``kind``."""
+    for seed in range(1000):
+        probe = FaultInjector(seed, rate=1.0, sites=("service.conn",))
+        if probe.decide("service.conn") == kind:
+            return seed
+    raise AssertionError(f"no seed yields {kind!r}")
 
-    def test_health_predicate_skips_unhealthy(self):
-        alive = _Server([])
-        try:
-            clients = {
-                "shard-0": ServiceClient(port=1),  # would fail if tried
-                "shard-1": _client(alive),
-            }
-            failover = FailoverClient(
-                clients, health=lambda sid: sid == "shard-1"
-            )
-            assert failover.candidates(["shard-0", "shard-1"]) == ["shard-1"]
-            shard, _job = failover.submit(
-                "rbit", preference=["shard-0", "shard-1"]
-            )
-            assert shard == "shard-1"
-            assert alive.hits == 1
-        finally:
-            alive.close()
 
-    def test_all_unhealthy_falls_back_to_trying_everyone(self):
-        alive = _Server([])
+class TestInjectedConnectionFaults:
+    """The ``service.conn`` site drives the same retry paths as real
+    network faults, deterministically: the schedule is a function of the
+    seed, and no injected attempt ever reaches the server."""
+
+    def test_get_retries_through_injected_faults(self):
+        server = _Server([])
+        injector = FaultInjector(
+            3, rate=1.0, sites=("service.conn",), max_faults=2
+        )
         try:
-            failover = FailoverClient(
-                {"shard-0": _client(alive)}, health=lambda _sid: False
-            )
-            assert failover.candidates() == ["shard-0"]
+            client = _client(server, retries=3, backoff_s=0.01)
+            with inject(injector):
+                assert client.healthz()["ok"] is True
+            assert [e.site for e in injector.log] == ["service.conn"] * 2
+            assert server.hits == 1
         finally:
-            alive.close()
+            server.close()
+
+    def test_injected_drop_lets_a_post_retry(self):
+        server = _Server([])
+        injector = FaultInjector(
+            _seed_whose_first_conn_fault_is("drop"), rate=1.0,
+            sites=("service.conn",), max_faults=1,
+        )
+        try:
+            client = _client(server, retries=2, backoff_s=0.01)
+            with inject(injector):
+                assert client.submit("rbit")["id"] == "job-1"
+            assert server.hits == 1
+        finally:
+            server.close()
+
+    def test_injected_halfclose_never_replays_a_post(self):
+        server = _Server([])
+        injector = FaultInjector(
+            _seed_whose_first_conn_fault_is("halfclose"), rate=1.0,
+            sites=("service.conn",), max_faults=1,
+        )
+        try:
+            client = _client(server, retries=3, backoff_s=0.01)
+            with inject(injector), pytest.raises(ServiceTimeout):
+                client.submit("rbit")
+            assert server.hits == 0
+        finally:
+            server.close()

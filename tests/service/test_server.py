@@ -8,6 +8,7 @@ processes, much cheaper to spin up under pytest.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 
 import pytest
@@ -46,7 +47,9 @@ def daemon():
     thread.join(timeout=60)
 
 
-def _serial_certificate(case_name: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _serial_run(case_name: str) -> tuple[str, list[str]]:
+    """The certificate and block addresses of a serial, cache-free run."""
     from repro import casestudies
     from repro.logic.automation import verify_program
     from repro.parallel.config import configured
@@ -56,7 +59,7 @@ def _serial_certificate(case_name: str) -> str:
     with configured(jobs=1):
         case = module.build()
     report = verify_program(case.frontend.traces, case.specs, pc_for(module))
-    return report.proof.to_json()
+    return report.proof.to_json(), [f"0x{a:x}" for a in sorted(report.blocks)]
 
 
 class TestLifecycle:
@@ -66,14 +69,18 @@ class TestLifecycle:
         assert health["ok"] is True
         assert health["uptime_s"] >= 0
 
-    def test_run_is_byte_identical_to_serial_cli(self, daemon):
+    @pytest.mark.parametrize(
+        "case", ["rbit", "uart", "unaligned", "memcpy_ppc", "sign_ppc"]
+    )
+    def test_run_is_byte_identical_to_serial_cli(self, daemon, case):
         _service, client = daemon
-        report = client.run("rbit", timeout=300)
+        report = client.run(case, timeout=300)
+        certificate, blocks = _serial_run(case)
         assert report["ok"] is True
         assert report["outcome"] == "verified"
-        assert report["certificate"] == _serial_certificate("rbit")
+        assert report["certificate"] == certificate
         assert report["checker"]
-        assert list(report["blocks"]) == ["0x400000"]
+        assert list(report["blocks"]) == blocks
 
     def test_events_tell_the_whole_story(self, daemon):
         _service, client = daemon
@@ -178,7 +185,7 @@ class TestTelemetryEndpoints:
 
     def test_disk_gauges_include_wellformed_rejects(self, tmp_path):
         # The full CacheStats snapshot is surfaced, not just the hit
-        # counters — ill-formed-entry evictions (PR 4) are fleet-visible.
+        # counters — ill-formed-entry evictions are visible in /metrics.
         service = VerificationService(
             cache_dir=str(tmp_path), pool_jobs=1, runners=1
         )
